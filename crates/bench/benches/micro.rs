@@ -324,11 +324,11 @@ fn bench_replay(c: &mut Criterion) {
     use ic_engine::{EngineConfig, EventDrivenEngine, ServingEngine};
     use ic_workloads::fixed_qps_arrivals;
 
-    // A tiny end-to-end replay (same trace, three engine configs) so
-    // the speedup of the look-ahead window and of pool-parallel
-    // stepping is visible in one criterion table. Setup (example
-    // seeding) happens once; each measured iteration replays the trace
-    // through a fresh engine sharing the seeded example bank.
+    // A tiny end-to-end replay (same trace, two engine configs) so
+    // the speedup of the look-ahead window is visible in one criterion
+    // table. Setup (example seeding) happens once; each measured
+    // iteration replays the trace through a fresh engine sharing the
+    // seeded example bank.
     let sys_cfg = IcCacheConfig::gemma_pair();
     let large = sys_cfg.primary;
     let large_spec = sys_cfg.catalog.get(large).clone();
@@ -353,14 +353,6 @@ fn bench_replay(c: &mut Criterion) {
             black_box(run(EngineConfig {
                 selector_batch: 8,
                 selector_window_s: 2.0,
-                ..EngineConfig::default()
-            }))
-        })
-    });
-    g.bench_function("threads_4", |b| {
-        b.iter(|| {
-            black_box(run(EngineConfig {
-                replay_threads: 4,
                 ..EngineConfig::default()
             }))
         })

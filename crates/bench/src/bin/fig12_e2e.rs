@@ -9,7 +9,7 @@
 //!
 //! Every run also writes `BENCH_replay.json`: the replay-performance
 //! record (wall-clock seconds, simulator events per second, the
-//! window/parallel-stepping counters, and the tracing-enabled vs
+//! look-ahead window counters, and the tracing-enabled vs
 //! disabled replay walls side by side — the observability overhead is
 //! measured every run, not asserted). Its `wall_s`/`traced_wall_s`/
 //! `events_per_sec` fields are measured wall time and are **not** part
@@ -30,7 +30,7 @@
 //! The iteration-scheduler, KV-memory, router-tier and replay knobs
 //! can be overridden via the environment (`IC_PREFILL_CHUNK`,
 //! `IC_PREEMPT_QUANTUM`, `IC_MAX_QUEUE`, `IC_SELECTOR_BATCH`,
-//! `IC_SELECTOR_WINDOW`, `IC_REPLAY_THREADS`, `IC_KV_BLOCK`,
+//! `IC_SELECTOR_WINDOW`, `IC_KV_BLOCK`,
 //! `IC_KV_BUDGET`, `IC_KV_WATERMARKS`, `IC_KV_HOST_BLOCKS`,
 //! `IC_ROUTER_REPLICAS`, `IC_GOSSIP_PERIOD`, `IC_POOL_OUTAGE`,
 //! `IC_RESP_CACHE`, `IC_RESP_THRESHOLD`, `IC_RESP_BYTES`,
@@ -42,9 +42,7 @@
 //! and `kv` blocks). `IC_SELECTOR_BATCH` and `IC_SELECTOR_WINDOW` are
 //! special: they change only the `selector` stats block — every other
 //! byte of `BENCH_e2e.json` is identical with and without them (the
-//! batched/windowed probes are pure speedups). `IC_REPLAY_THREADS` is
-//! stricter still: the parallel replay is bit-identical to the
-//! sequential one, `selector` block included. The observability knobs
+//! batched/windowed probes are pure speedups). The observability knobs
 //! are observation only: `BENCH_e2e.json` is byte-identical with and
 //! without them (CI-enforced). `IC_ROUTER_REPLICAS=1` (or unset)
 //! likewise reproduces the pre-replication bytes except the added
@@ -78,15 +76,14 @@ fn replay_json(
     let r = &report.replay;
     format!(
         concat!(
-            "{{\"fraction\":{:.6},\"threads\":{},\"served\":{},\"steps\":{},",
+            "{{\"fraction\":{:.6},\"served\":{},\"steps\":{},",
             "\"events\":{},\"preselects\":{},\"preselect_hits\":{},",
-            "\"stage1_reuses\":{},\"invalidations\":{},\"parallel_regions\":{},",
-            "\"parallel_steps\":{},\"setup_threads\":{},\"setup_wall_s\":{:.3},",
+            "\"stage1_reuses\":{},\"invalidations\":{},",
+            "\"setup_threads\":{},\"setup_wall_s\":{:.3},",
             "\"embed_wall_s\":{:.3},\"index_build_wall_s\":{:.3},",
             "\"wall_s\":{:.3},\"traced_wall_s\":{:.3},\"events_per_sec\":{:.1}}}"
         ),
         fraction,
-        r.threads,
         report.served,
         report.iter.steps,
         events,
@@ -94,8 +91,6 @@ fn replay_json(
         r.preselect_hits,
         r.stage1_reuses,
         r.invalidations,
-        r.parallel_regions,
-        r.parallel_steps,
         setup.setup_threads,
         setup.setup_wall_s,
         setup.embed_wall_s,
@@ -172,19 +167,15 @@ fn print_replay_summary(
     let events = report.served + report.iter.steps;
     let r = &report.replay;
     println!(
-        "replay: {} events in {:.2}s wall ({:.0} events/s), {} thread(s), \
-         {} preselects ({} hits / {} stage-1 reuses / {} invalidations), \
-         {} parallel regions covering {} steps",
+        "replay: {} events in {:.2}s wall ({:.0} events/s), \
+         {} preselects ({} hits / {} stage-1 reuses / {} invalidations)",
         events,
         wall_s,
         events as f64 / wall_s.max(1e-9),
-        r.threads,
         r.preselects,
         r.preselect_hits,
         r.stage1_reuses,
         r.invalidations,
-        r.parallel_regions,
-        r.parallel_steps,
     );
     println!(
         "obs overhead: untraced {:.2}s vs traced {:.2}s wall ({:+.1}%)",

@@ -285,14 +285,6 @@ fn online_run_from_engine(
 ///   re-validated against the selector epochs at its own event
 ///   position. A pure speedup: byte-identical except the `selector`
 ///   stats block (CI-enforced).
-/// - `IC_REPLAY_THREADS` — worker threads for deterministic
-///   pool-parallel stepping (`0`/`1` = sequential). Step-chain regions
-///   between router interactions run on workers and merge in exact
-///   `(time, seq)` order: `BENCH_e2e.json` is bit-identical to the
-///   sequential replay, every stats block included (CI-enforced).
-/// - `IC_REPLAY_SPIN` — adaptive spin-then-park cap on the region
-///   hand-off channels, in spin iterations (`0` = park immediately;
-///   default `4096`). Wall-clock only; irrelevant at one thread.
 /// - `IC_SETUP_THREADS` — worker threads for the deterministic setup
 ///   pipeline (example-bank embedding, k-means, IVF build; `0`/`1` =
 ///   sequential). Bit-identical at any value — a pure setup-wall-clock
@@ -381,12 +373,6 @@ pub fn engine_config() -> EngineConfig {
     }
     if let Some(window) = parse_env::<f64>("IC_SELECTOR_WINDOW") {
         config.selector_window_s = window;
-    }
-    if let Some(threads) = parse_env::<usize>("IC_REPLAY_THREADS") {
-        config.replay_threads = threads.max(1);
-    }
-    if let Some(spin) = parse_env::<u32>("IC_REPLAY_SPIN") {
-        config.replay_spin = spin;
     }
     if let Some(block) = parse_env::<u32>("IC_KV_BLOCK") {
         config.kv_block_tokens = block;

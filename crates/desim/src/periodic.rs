@@ -32,13 +32,6 @@ impl Periodic {
         self.period.is_some()
     }
 
-    /// The firing period, if enabled. Drivers that track pending event
-    /// times externally (e.g. the parallel replay's barrier set) use
-    /// this to mirror exactly what [`Periodic::arm`] schedules.
-    pub fn period(&self) -> Option<SimDuration> {
-        self.period
-    }
-
     /// Arms the next occurrence, one period after the simulator's
     /// current instant (used both for the first arm at time zero and
     /// for re-arming from the handler). Returns whether an event was

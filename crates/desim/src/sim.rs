@@ -158,40 +158,6 @@ impl<E> Simulator<E> {
         self.next()
     }
 
-    /// Like [`Simulator::next_if`], but also returns the popped event's
-    /// sequence number — the same-time tie-break assigned at scheduling.
-    ///
-    /// Drivers that simulate a run of events *outside* the queue (e.g. a
-    /// pool of independent step chains advanced on worker threads) need the
-    /// seq to merge externally-produced events back into the exact total
-    /// order `(time, seq)` the sequential simulator would have used.
-    pub fn next_if_full(
-        &mut self,
-        pred: impl FnOnce(SimTime, &E) -> bool,
-    ) -> Option<(SimTime, u64, E)> {
-        let Reverse(s) = self.heap.peek()?;
-        if !pred(s.at, &s.event) {
-            return None;
-        }
-        let Reverse(s) = self.heap.pop().expect("peeked event exists");
-        self.now = s.at;
-        self.processed += 1;
-        Some((s.at, s.seq, s.event))
-    }
-
-    /// Consumes and returns the next sequence number as if an event had been
-    /// scheduled, without enqueueing anything.
-    ///
-    /// Used by drivers that execute some events outside the queue but must
-    /// keep the `(time, seq)` total order bit-identical to a fully queued
-    /// run: each externally-simulated event burns exactly the seq it would
-    /// have been assigned by [`Simulator::schedule`].
-    pub fn reserve_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
     /// Runs until the queue is empty, passing each event to `handler`.
     pub fn run(&mut self, mut handler: impl FnMut(&mut Self, E)) {
         while let Some((_, ev)) = self.next() {
@@ -330,28 +296,6 @@ mod tests {
         assert_eq!(sim.next_if(|t2, _| t2 == at), None);
         assert_eq!(sim.next().map(|(_, e)| e), Some(3));
         assert!(sim.is_empty());
-    }
-
-    #[test]
-    fn next_if_full_exposes_seq_and_reserve_seq_matches_schedule() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let t = SimTime::from_micros(4);
-        sim.schedule(t, 10); // seq 0
-        sim.schedule(t, 11); // seq 1
-        let got = sim.next_if_full(|_, &e| e == 10).expect("head matches");
-        assert_eq!(got, (t, 0, 10));
-        assert_eq!(sim.now(), t);
-        // Rejecting predicate leaves the queue untouched.
-        assert!(sim.next_if_full(|_, &e| e == 99).is_none());
-        // reserve_seq burns exactly the seq the next schedule would have used,
-        // so a subsequent schedule sorts after it at the same instant.
-        let burned = sim.reserve_seq();
-        assert_eq!(burned, 2);
-        sim.schedule(t, 12); // seq 3
-        let (_, seq, e) = sim.next_if_full(|_, _| true).expect("head");
-        assert_eq!((seq, e), (1, 11));
-        let (_, seq, e) = sim.next_if_full(|_, _| true).expect("head");
-        assert_eq!((seq, e), (3, 12));
     }
 
     #[test]

@@ -10,15 +10,11 @@ use ic_obs::{
 };
 use ic_respcache::{CachedResponse, RespCacheConfig, ResponseCache};
 use ic_serving::{
-    ChainStep, IterStats, JobId, JobSpec, KvStats, KvSwap, ModelPool, Offer, PoolConfig,
-    SharedPrefix, Watermarks,
+    IterStats, JobId, JobSpec, KvStats, KvSwap, ModelPool, Offer, PoolConfig, SharedPrefix,
+    Watermarks,
 };
 use ic_stats::{PercentileSnapshot, Percentiles, split_mix64};
-use parking_lot::Mutex;
-use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::mpsc;
+use std::collections::VecDeque;
 
 use ic_serving::busy_interval_rps;
 
@@ -86,26 +82,6 @@ pub struct EngineConfig {
     /// (treated as `0`) while `admit_served_pairs` is on, for the same
     /// reason as `selector_batch`.
     pub selector_window_s: f64,
-    /// Worker threads for deterministic pool-parallel stepping (env
-    /// `IC_REPLAY_THREADS` in the bench binaries). Maximal runs of
-    /// `StepComplete` events between router interactions execute as
-    /// per-pool step chains on worker threads and merge back in exact
-    /// `(time, seq)` order, so the report — every stats block included —
-    /// is bit-identical to the sequential replay. `0`/`1` (default)
-    /// keeps the sequential path.
-    pub replay_threads: usize,
-    /// Upper bound of the adaptive spin-then-park wait on the region
-    /// hand-off channels, in `try_recv` spin iterations (env
-    /// `IC_REPLAY_SPIN` in the bench binaries). Region workers and the
-    /// coordinator spin this long on an empty channel before parking in
-    /// a blocking receive; a message that lands while spinning doubles
-    /// the next wait's spin budget (up to this cap), a park halves it —
-    /// dense step regions stay on the low-latency spin path, idle
-    /// phases decay toward an immediate park. `0` always parks
-    /// immediately (the pre-batching behaviour). Wall-clock only: task
-    /// results are routed by slot, so the replay bytes are identical at
-    /// any value. Irrelevant while `replay_threads <= 1`.
-    pub replay_spin: u32,
     /// Tokens per KV block (paged KV memory; `0` with a zero budget
     /// disables the memory model).
     pub kv_block_tokens: u32,
@@ -211,8 +187,6 @@ impl Default for EngineConfig {
             max_queue: None,
             selector_batch: 0,
             selector_window_s: 0.0,
-            replay_threads: 1,
-            replay_spin: 4096,
             kv_block_tokens: 16,
             kv_budget_blocks: 1024,
             kv_watermarks: Watermarks::DEFAULT,
@@ -292,154 +266,6 @@ struct PreSel {
     selection: Selection,
     index_epoch: u64,
     learn_epoch: u64,
-}
-
-/// Multiset of pending non-step event times. Its earliest entry is the
-/// barrier a pool-parallel step region must not cross: every router
-/// interaction (arrival, gossip, outage, maintenance, rebalance) is
-/// tracked here, so any run of `StepComplete` chains strictly before it
-/// is provably independent and safe to execute out of line.
-#[derive(Debug, Default)]
-struct BarrierSet(BTreeMap<SimTime, u32>);
-
-impl BarrierSet {
-    fn add(&mut self, t: SimTime) {
-        *self.0.entry(t).or_insert(0) += 1;
-    }
-
-    fn remove(&mut self, t: SimTime) {
-        match self.0.get_mut(&t) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                self.0.remove(&t);
-            }
-            None => debug_assert!(false, "barrier multiset underflow at {t}"),
-        }
-    }
-
-    fn earliest(&self) -> Option<SimTime> {
-        self.0.keys().next().copied()
-    }
-}
-
-/// One per-pool chain assignment for a region worker.
-struct RegionTask {
-    /// Index into the region's head list (result routing).
-    slot: usize,
-    /// Pool whose chain to advance.
-    pool: usize,
-    /// Time of the chain's first (already-popped) step event.
-    at: SimTime,
-    /// Region barrier: the chain stops before this instant.
-    barrier: Option<SimTime>,
-}
-
-/// Adaptive spin-then-park wait on one region hand-off channel. A step
-/// region's tasks land within microseconds of the coordinator reaching
-/// the dispatch site, and its results come back as fast as the chains
-/// run — parking in the OS between every exchange pays a futex/condvar
-/// round-trip per region. The waiter spins on `try_recv` for up to a
-/// budget of iterations before falling back to a blocking `recv`; a
-/// message that arrives while spinning doubles the next budget (to the
-/// configured cap), a park halves it. Dense regions therefore stay on
-/// the spin path; an idle replay phase decays toward parking right
-/// away. Purely a wall-clock lever — nothing about which messages
-/// arrive, or in what order they are processed, depends on it.
-struct SpinWait {
-    cap: u32,
-    cur: Cell<u32>,
-}
-
-impl SpinWait {
-    /// Smallest non-zero spin budget (a handful of cache-hot polls).
-    const FLOOR: u32 = 16;
-
-    fn new(cap: u32) -> Self {
-        Self {
-            cap,
-            cur: Cell::new(Self::FLOOR.min(cap)),
-        }
-    }
-
-    /// Receives one message: spin up to the current budget, then park.
-    fn recv<T>(&self, rx: &mpsc::Receiver<T>) -> Result<T, mpsc::RecvError> {
-        let budget = self.cur.get();
-        for _ in 0..budget {
-            match rx.try_recv() {
-                Ok(v) => {
-                    self.cur
-                        .set(budget.saturating_mul(2).clamp(Self::FLOOR, self.cap));
-                    return Ok(v);
-                }
-                Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
-                Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
-            }
-        }
-        self.cur.set((budget / 2).max(Self::FLOOR.min(self.cap)));
-        rx.recv()
-    }
-}
-
-/// Channel endpoints of the persistent region workers spawned for one
-/// `serve_workload` run (`EngineConfig::replay_threads`). Workers hold
-/// `&[Mutex<ModelPool>]` and run [`ModelPool::advance_chain`] per task.
-/// Each region is handed off as **one batch per worker** — a single
-/// channel message carrying every chain assigned to that worker, and a
-/// single reply carrying all of its chains back — so a k-pool region
-/// costs two messages per participating worker instead of 2k, and both
-/// ends wait with the adaptive [`SpinWait`]. Workers exit when the
-/// task senders drop at scope end.
-struct RegionWorkers {
-    task_txs: Vec<mpsc::Sender<Vec<RegionTask>>>,
-    results_rx: mpsc::Receiver<Vec<(usize, Vec<ChainStep>)>>,
-    /// Coordinator-side waiter for result batches (the event loop is
-    /// single-threaded, hence the `Cell` inside).
-    results_spin: SpinWait,
-}
-
-impl RegionWorkers {
-    fn spawn<'scope, 'pools: 'scope>(
-        scope: &'scope std::thread::Scope<'scope, '_>,
-        pools: &'pools [Mutex<ModelPool>],
-        workers: usize,
-        spin: u32,
-    ) -> Self {
-        let (results_tx, results_rx) = mpsc::channel();
-        let mut task_txs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (task_tx, task_rx) = mpsc::channel::<Vec<RegionTask>>();
-            let results_tx = results_tx.clone();
-            scope.spawn(move || {
-                let wait = SpinWait::new(spin);
-                while let Ok(batch) = wait.recv(&task_rx) {
-                    let results = batch
-                        .into_iter()
-                        .map(|task| {
-                            let chain =
-                                pools[task.pool].lock().advance_chain(task.at, task.barrier);
-                            (task.slot, chain)
-                        })
-                        .collect();
-                    if results_tx.send(results).is_err() {
-                        break;
-                    }
-                }
-            });
-            task_txs.push(task_tx);
-        }
-        Self {
-            task_txs,
-            results_rx,
-            results_spin: SpinWait::new(spin),
-        }
-    }
-
-    /// Receives one worker's result batch (spin-then-park).
-    fn recv_results(&self) -> Vec<(usize, Vec<ChainStep>)> {
-        self.results_spin
-            .recv(&self.results_rx)
-            .expect("region worker alive")
-    }
 }
 
 /// The production-shaped serving path: IC-Cache admission, selection and
@@ -572,7 +398,7 @@ fn admit_arrival(
     at: SimTime,
     now: f64,
     sim: &mut Simulator<Event>,
-    pools: &[Mutex<ModelPool>],
+    pools: &mut [ModelPool],
     model_pools: &[(ModelId, usize)],
     pool_epochs: &[u64],
     records: &mut [Option<RequestRecord>],
@@ -625,7 +451,7 @@ fn admit_arrival(
     // Iteration-level admission: an idle pool starts the job (arming
     // its step event); a busy pool keeps it queued until the next step
     // boundary.
-    let offer = pools[pool].lock().offer(job, at);
+    let offer = pools[pool].offer(job, at);
     if offer == Offer::Rejected {
         if let Some(rec) = obs.as_mut() {
             rec.record(at, i as u64, ObsKind::RejectedByCap { retry: false });
@@ -666,9 +492,7 @@ fn serve_stage0_hit(
     owner: usize,
     at: SimTime,
     now: f64,
-    par_on: bool,
     sim: &mut Simulator<Event>,
-    barrier: &mut BarrierSet,
     records: &mut [Option<RequestRecord>],
     quality_sum: &mut f64,
     obs: Option<&mut Recorder>,
@@ -701,9 +525,6 @@ fn serve_stage0_hit(
     }
     let done = at + SimDuration::from_secs_f64(STAGE0_HIT_LATENCY_S);
     sim.schedule(done, Event::Stage0Complete(i));
-    if par_on {
-        barrier.add(done);
-    }
 }
 
 /// The response a served outcome leaves behind for the stage-0 cache.
@@ -723,8 +544,8 @@ fn cacheable_response(out: &ServeOutcome) -> CachedResponse {
 /// pool failover bumps `epoch` so the flushed lineage's pending
 /// event dies on delivery instead of double-stepping a refilled
 /// pool.
-fn arm_step(sim: &mut Simulator<Event>, pools: &[Mutex<ModelPool>], pool: usize, epoch: u64) {
-    if let Some(dt) = pools[pool].lock().step_secs() {
+fn arm_step(sim: &mut Simulator<Event>, pools: &[ModelPool], pool: usize, epoch: u64) {
+    if let Some(dt) = pools[pool].step_secs() {
         sim.schedule_in(
             SimDuration::from_secs_f64(dt),
             Event::StepComplete(pool, epoch),
@@ -745,13 +566,11 @@ impl ServingEngine for EventDrivenEngine {
         );
         let n = requests.len();
         // Fresh pools per run: queue state never leaks across workloads.
-        // Mutex-wrapped so region workers can advance step chains in
-        // parallel; the sequential path pays only an uncontended lock.
-        let pools: Vec<Mutex<ModelPool>> = self
+        let mut pools: Vec<ModelPool> = self
             .pool_configs
             .iter()
             .cloned()
-            .map(|pc| Mutex::new(ModelPool::new(pc)))
+            .map(ModelPool::new)
             .collect();
         let config = self.config.clone();
         let model_pools = self.model_pools.clone();
@@ -762,9 +581,8 @@ impl ServingEngine for EventDrivenEngine {
         // tracing off no lane exists anywhere, so the hot path costs
         // one `Option` check per would-be record.
         if config.trace {
-            for (p, pool) in pools.iter().enumerate() {
-                pool.lock()
-                    .set_obs(LaneBuf::new(p as u32 + 1, config.obs_ring));
+            for (p, pool) in pools.iter_mut().enumerate() {
+                pool.set_obs(LaneBuf::new(p as u32 + 1, config.obs_ring));
             }
         }
         let mut recorder = config.trace.then(|| Recorder::new(config.obs_ring));
@@ -784,13 +602,6 @@ impl ServingEngine for EventDrivenEngine {
             }
         }
 
-        // Pool-parallel stepping (`IC_REPLAY_THREADS`): while on, every
-        // pending non-step event time is mirrored in `barrier`, whose
-        // earliest entry bounds how far a step region may run ahead.
-        let threads = config.replay_threads.max(1);
-        let par_on = threads > 1;
-        let mut barrier = BarrierSet::default();
-
         let mut sim: Simulator<Event> = Simulator::new();
         let times: Vec<SimTime> = arrivals
             .iter()
@@ -798,9 +609,6 @@ impl ServingEngine for EventDrivenEngine {
             .collect();
         for (i, &t) in times.iter().enumerate() {
             sim.schedule(t, Event::Arrival(i));
-            if par_on {
-                barrier.add(t);
-            }
         }
         // Gossip only exists on a real tier: a single replica has no
         // peers, so no events are scheduled and the run is event-for-
@@ -810,16 +618,12 @@ impl ServingEngine for EventDrivenEngine {
         } else {
             Periodic::every_secs(0.0)
         };
-        if gossip.arm(&mut sim, Event::GossipRound) && par_on {
-            barrier.add(sim.now() + gossip.period().expect("armed implies enabled"));
-        }
+        gossip.arm(&mut sim, Event::GossipRound);
         // Telemetry sampler (`IC_OBS_SAMPLE`): periodic cluster-state
         // snapshots, independent of event tracing.
         let sampler = Periodic::every_secs(config.obs_sample_s);
         let sampler_on = sampler.enabled();
-        if sampler.arm(&mut sim, Event::ObsSample) && par_on {
-            barrier.add(sim.now() + sampler.period().expect("armed implies enabled"));
-        }
+        sampler.arm(&mut sim, Event::ObsSample);
         for outage in &config.pool_outages {
             if outage.duration_s <= 0.0 || outage.pool >= pools.len() {
                 continue;
@@ -828,24 +632,14 @@ impl ServingEngine for EventDrivenEngine {
             let up_at = SimTime::from_secs_f64(outage.at_s + outage.duration_s);
             sim.schedule(down_at, Event::PoolDown(outage.pool));
             sim.schedule(up_at, Event::PoolUp(outage.pool));
-            if par_on {
-                barrier.add(down_at);
-                barrier.add(up_at);
-            }
         }
         if config.maintenance_period_s > 0.0 {
             let t = SimTime::from_secs_f64(config.maintenance_period_s);
             sim.schedule(t, Event::Maintenance);
-            if par_on {
-                barrier.add(t);
-            }
         }
         if config.rebalance_period_s > 0.0 {
             let t = SimTime::from_secs_f64(config.rebalance_period_s);
             sim.schedule(t, Event::Rebalance);
-            if par_on {
-                barrier.add(t);
-            }
         }
 
         // Cross-request selector batching: how many same-tick arrivals
@@ -900,10 +694,7 @@ impl ServingEngine for EventDrivenEngine {
             batch_limit: config.selector_batch as u64,
             ..SelectorStats::default()
         };
-        let mut replay_stats = ReplayStats {
-            threads: threads as u64,
-            ..ReplayStats::default()
-        };
+        let mut replay_stats = ReplayStats::default();
 
         let mut records: Vec<Option<RequestRecord>> = (0..n).map(|_| None).collect();
         // One arrival window per router replica: each replica estimates
@@ -937,22 +728,361 @@ impl ServingEngine for EventDrivenEngine {
         let mut pool_epochs: Vec<u64> = vec![0; pools.len()];
         let mut down_depth: Vec<u32> = vec![0; pools.len()];
 
-        // The event loop, generic over the worker tier: `None` runs
-        // everything inline (sequential replay); `Some` dispatches step
-        // regions to the workers. The loop pops with `next_if_full` so
-        // region merges know each head's exact sequence number.
-        let mut event_loop = |workers: Option<&RegionWorkers>| {
-            while let Some((at, seq, event)) = sim.next_if_full(|_, _| true) {
-                let now = at.as_secs_f64();
-                if par_on && !matches!(event, Event::StepComplete(..)) {
-                    barrier.remove(at);
+        while let Some((at, event)) = sim.next() {
+            let now = at.as_secs_f64();
+            match event {
+                Event::Arrival(i) if window_on => {
+                    // --- bounded-delay look-ahead path ---
+                    // Windowed arrival-rate estimate feeds the owning
+                    // replica's load tracker before its routing decision,
+                    // exactly as on the sequential path below.
+                    let owner = system.front_end().replica_of(requests[i].id);
+                    let load_win = &mut arrival_windows[owner];
+                    load_win.push_back(now);
+                    while load_win.len() > config.load_window {
+                        load_win.pop_front();
+                    }
+                    if load_win.len() >= 2 {
+                        let dt = now - load_win.front().expect("non-empty window");
+                        if dt > 0.0 {
+                            system
+                                .front_end_mut()
+                                .observe_arrival_load(owner, (load_win.len() - 1) as f64 / dt);
+                        }
+                    }
+
+                    if let Some(rec) = recorder.as_mut() {
+                        rec.record(
+                            at,
+                            i as u64,
+                            ObsKind::Arrival {
+                                replica: owner as u32,
+                            },
+                        );
+                    }
+                    // Stage-0 probe: a response-cache hit skips the
+                    // whole selection path. A precomputed look-ahead
+                    // entry is dropped (wasted probe work, nothing
+                    // more); an unconsumed window-cursor slot still
+                    // advances past this arrival.
+                    if let Some(cache) = resp_cache.as_mut() {
+                        cache.observe(&requests[i].embedding, now);
+                        if let Some(resp) = cache.lookup(&requests[i].embedding, now) {
+                            if presel[i].take().is_none()
+                                && order.get(win_cursor).copied() == Some(i)
+                            {
+                                win_cursor += 1;
+                            }
+                            serve_stage0_hit(
+                                i,
+                                &resp,
+                                owner,
+                                at,
+                                now,
+                                &mut sim,
+                                &mut records,
+                                &mut quality_sum,
+                                recorder.as_mut(),
+                            );
+                            continue;
+                        }
+                    }
+                    let request = &requests[i];
+                    let out = match presel[i].take() {
+                        // Both epochs unchanged: the precomputed selection
+                        // is exactly what `serve` would compute now.
+                        Some(e)
+                            if e.index_epoch == system.selector().index_epoch()
+                                && e.learn_epoch == system.selector().learn_epoch() =>
+                        {
+                            replay_stats.preselect_hits += 1;
+                            if let Some(rec) = recorder.as_mut() {
+                                rec.record(
+                                    at,
+                                    i as u64,
+                                    ObsKind::Stage1Probe {
+                                        batch: 0,
+                                        reused: true,
+                                    },
+                                );
+                            }
+                            system.serve_with_selection(request, e.selection)
+                        }
+                        // The proxy/threshold learned since the probe but
+                        // the index is untouched: stage-1 candidates are
+                        // still exact; re-score stage 2 only.
+                        Some(e) if e.index_epoch == system.selector().index_epoch() => {
+                            replay_stats.stage1_reuses += 1;
+                            if let Some(rec) = recorder.as_mut() {
+                                rec.record(
+                                    at,
+                                    i as u64,
+                                    ObsKind::Stage1Probe {
+                                        batch: 0,
+                                        reused: true,
+                                    },
+                                );
+                            }
+                            system.serve_with_stage1(request, Some(e.stage1))
+                        }
+                        // The index moved (admission/eviction): recompute
+                        // from scratch, as `serve` would.
+                        Some(_) => {
+                            replay_stats.invalidations += 1;
+                            selector_stats.batches += 1;
+                            selector_stats.requests += 1;
+                            selector_stats.max_batch = selector_stats.max_batch.max(1);
+                            if let Some(rec) = recorder.as_mut() {
+                                rec.record(
+                                    at,
+                                    i as u64,
+                                    ObsKind::Stage1Probe {
+                                        batch: 1,
+                                        reused: false,
+                                    },
+                                );
+                            }
+                            system.serve_with_stage1(request, None)
+                        }
+                        // No entry yet: probe stage 1 for every arrival in
+                        // the window in one multi-query shot, precompute
+                        // their full selections, then consume this one's.
+                        None => {
+                            if order.get(win_cursor).copied() != Some(i) {
+                                debug_assert!(false, "window cursor out of sync at {i}");
+                                win_cursor = order
+                                    .iter()
+                                    .position(|&j| j == i)
+                                    .expect("arrival is in the firing order");
+                            }
+                            let horizon = at + window;
+                            let mut batch = Vec::new();
+                            while win_cursor < order.len() && batch.len() < probe_cap {
+                                let j = order[win_cursor];
+                                if times[j] > horizon {
+                                    break;
+                                }
+                                batch.push(j);
+                                win_cursor += 1;
+                            }
+                            let refs: Vec<&Request> = batch.iter().map(|&j| &requests[j]).collect();
+                            let stage1 = system.stage1_batch(&refs);
+                            let index_epoch = system.selector().index_epoch();
+                            let learn_epoch = system.selector().learn_epoch();
+                            for (&j, s1) in batch.iter().zip(stage1) {
+                                let selection = system.preselect(&requests[j], s1.clone());
+                                presel[j] = Some(PreSel {
+                                    stage1: s1,
+                                    selection,
+                                    index_epoch,
+                                    learn_epoch,
+                                });
+                            }
+                            replay_stats.preselects += batch.len() as u64;
+                            selector_stats.batches += 1;
+                            selector_stats.requests += batch.len() as u64;
+                            selector_stats.max_batch =
+                                selector_stats.max_batch.max(batch.len() as u64);
+                            let e = presel[i].take().expect("the probe covers its own arrival");
+                            replay_stats.preselect_hits += 1;
+                            if let Some(rec) = recorder.as_mut() {
+                                rec.record(
+                                    at,
+                                    i as u64,
+                                    ObsKind::Stage1Probe {
+                                        batch: batch.len() as u32,
+                                        reused: false,
+                                    },
+                                );
+                            }
+                            system.serve_with_selection(request, e.selection)
+                        }
+                    };
+                    admit_arrival(
+                        i,
+                        &out,
+                        config.kv_share,
+                        at,
+                        now,
+                        &mut sim,
+                        &mut pools,
+                        &model_pools,
+                        &pool_epochs,
+                        &mut records,
+                        &mut completed,
+                        &mut offloaded,
+                        &mut solicited,
+                        &mut selection_hits,
+                        &mut examples_used,
+                        &mut quality_sum,
+                        recorder.as_mut(),
+                    );
+                    if let Some(cache) = resp_cache.as_mut()
+                        && !records[i].as_ref().expect("record created above").rejected
+                    {
+                        cache.admit(&requests[i].embedding, cacheable_response(&out), now);
+                    }
                 }
-                match event {
-                    Event::Arrival(i) if window_on => {
-                        // --- bounded-delay look-ahead path ---
+                Event::Arrival(first) => {
+                    // Coalesce the run of arrivals sharing this event
+                    // tick into one selector batch. Only *consecutive*
+                    // same-tick arrival events are taken, so ordering
+                    // relative to any interleaved step, maintenance or
+                    // rebalance event is untouched.
+                    let mut batch = vec![first];
+                    while batch.len() < coalesce {
+                        match sim.next_if(|t, ev| t == at && matches!(ev, Event::Arrival(_))) {
+                            Some((_, Event::Arrival(j))) => {
+                                batch.push(j);
+                            }
+                            Some(_) => unreachable!("predicate admits only arrivals"),
+                            None => break,
+                        }
+                    }
+                    if let Some(cache) = resp_cache.as_mut() {
+                        // --- stage-0 over a coalesced batch ---
+                        // Observe every member in the trending sketch
+                        // *before* serving the first: a same-tick
+                        // stampede of N identical arrivals is already at
+                        // count N when its first member misses, so that
+                        // member's served response is admitted and the
+                        // other N−1 members hit it — one insertion per
+                        // stampede.
+                        for &i in &batch {
+                            cache.observe(&requests[i].embedding, now);
+                        }
+                        // The hoisted stage-1 probe is computed lazily at
+                        // the first miss (an all-hit batch does no
+                        // selector work at all) and covers the whole
+                        // batch: the probe is read-only and nothing
+                        // mutates the index within the tick, so each
+                        // entry is exactly what an inline probe at the
+                        // member's own serve would return.
+                        let mut hoisted: Option<Vec<Vec<(ExampleId, f64)>>> = None;
+                        let mut misses = 0u64;
+                        for (k, &i) in batch.iter().enumerate() {
+                            let owner = system.front_end().replica_of(requests[i].id);
+                            let load_win = &mut arrival_windows[owner];
+                            load_win.push_back(now);
+                            while load_win.len() > config.load_window {
+                                load_win.pop_front();
+                            }
+                            if load_win.len() >= 2 {
+                                let dt = now - load_win.front().expect("non-empty window");
+                                if dt > 0.0 {
+                                    system.front_end_mut().observe_arrival_load(
+                                        owner,
+                                        (load_win.len() - 1) as f64 / dt,
+                                    );
+                                }
+                            }
+                            if let Some(rec) = recorder.as_mut() {
+                                rec.record(
+                                    at,
+                                    i as u64,
+                                    ObsKind::Arrival {
+                                        replica: owner as u32,
+                                    },
+                                );
+                            }
+                            if let Some(resp) = cache.lookup(&requests[i].embedding, now) {
+                                serve_stage0_hit(
+                                    i,
+                                    &resp,
+                                    owner,
+                                    at,
+                                    now,
+                                    &mut sim,
+                                    &mut records,
+                                    &mut quality_sum,
+                                    recorder.as_mut(),
+                                );
+                                continue;
+                            }
+                            misses += 1;
+                            let stage1 = if batch.len() > 1 {
+                                let probes = hoisted.get_or_insert_with(|| {
+                                    let refs: Vec<&Request> =
+                                        batch.iter().map(|&j| &requests[j]).collect();
+                                    system.stage1_batch(&refs)
+                                });
+                                Some(probes[k].clone())
+                            } else {
+                                None
+                            };
+                            if let Some(rec) = recorder.as_mut() {
+                                rec.record(
+                                    at,
+                                    i as u64,
+                                    ObsKind::Stage1Probe {
+                                        batch: batch.len() as u32,
+                                        reused: false,
+                                    },
+                                );
+                            }
+                            let request = &requests[i];
+                            let out = system.serve_with_stage1(request, stage1);
+                            admit_arrival(
+                                i,
+                                &out,
+                                config.kv_share,
+                                at,
+                                now,
+                                &mut sim,
+                                &mut pools,
+                                &model_pools,
+                                &pool_epochs,
+                                &mut records,
+                                &mut completed,
+                                &mut offloaded,
+                                &mut solicited,
+                                &mut selection_hits,
+                                &mut examples_used,
+                                &mut quality_sum,
+                                recorder.as_mut(),
+                            );
+                            let rejected =
+                                records[i].as_ref().expect("record created above").rejected;
+                            if config.admit_served_pairs && !rejected {
+                                let _ = system.update_cache(request, &out.outcome, out.model, now);
+                            }
+                            if !rejected {
+                                cache.admit(&requests[i].embedding, cacheable_response(&out), now);
+                            }
+                        }
+                        // Selector stats count what stage 1 actually
+                        // served; cache-answered members never reached
+                        // it.
+                        if misses > 0 {
+                            selector_stats.batches += 1;
+                            selector_stats.requests += misses;
+                            selector_stats.max_batch = selector_stats.max_batch.max(misses);
+                        }
+                        continue;
+                    }
+                    // One multi-query stage-1 probe for the whole batch.
+                    // Nothing in this path mutates the example index
+                    // between these arrivals, so each entry is exactly
+                    // the stage-1 result the sequential path would
+                    // compute at its serve call; stage 2, routing and
+                    // feedback still run per request below, in order.
+                    // Singletons let `serve` probe inline.
+                    let stage1: Vec<Option<Vec<(ExampleId, f64)>>> = if batch.len() > 1 {
+                        let refs: Vec<&Request> = batch.iter().map(|&j| &requests[j]).collect();
+                        system.stage1_batch(&refs).into_iter().map(Some).collect()
+                    } else {
+                        vec![None]
+                    };
+                    selector_stats.batches += 1;
+                    selector_stats.requests += batch.len() as u64;
+                    selector_stats.max_batch = selector_stats.max_batch.max(batch.len() as u64);
+                    let probe_batch = batch.len() as u32;
+
+                    for (i, stage1) in batch.into_iter().zip(stage1) {
                         // Windowed arrival-rate estimate feeds the owning
-                        // replica's load tracker before its routing decision,
-                        // exactly as on the sequential path below.
+                        // replica's load tracker before its routing
+                        // decision (each replica sees only its own
+                        // arrivals).
                         let owner = system.front_end().replica_of(requests[i].id);
                         let load_win = &mut arrival_windows[owner];
                         load_win.push_back(now);
@@ -976,148 +1106,17 @@ impl ServingEngine for EventDrivenEngine {
                                     replica: owner as u32,
                                 },
                             );
-                        }
-                        // Stage-0 probe: a response-cache hit skips the
-                        // whole selection path. A precomputed look-ahead
-                        // entry is dropped (wasted probe work, nothing
-                        // more); an unconsumed window-cursor slot still
-                        // advances past this arrival.
-                        if let Some(cache) = resp_cache.as_mut() {
-                            cache.observe(&requests[i].embedding, now);
-                            if let Some(resp) = cache.lookup(&requests[i].embedding, now) {
-                                if presel[i].take().is_none()
-                                    && order.get(win_cursor).copied() == Some(i)
-                                {
-                                    win_cursor += 1;
-                                }
-                                serve_stage0_hit(
-                                    i,
-                                    &resp,
-                                    owner,
-                                    at,
-                                    now,
-                                    par_on,
-                                    &mut sim,
-                                    &mut barrier,
-                                    &mut records,
-                                    &mut quality_sum,
-                                    recorder.as_mut(),
-                                );
-                                continue;
-                            }
+                            rec.record(
+                                at,
+                                i as u64,
+                                ObsKind::Stage1Probe {
+                                    batch: probe_batch,
+                                    reused: false,
+                                },
+                            );
                         }
                         let request = &requests[i];
-                        let out = match presel[i].take() {
-                            // Both epochs unchanged: the precomputed selection
-                            // is exactly what `serve` would compute now.
-                            Some(e)
-                                if e.index_epoch == system.selector().index_epoch()
-                                    && e.learn_epoch == system.selector().learn_epoch() =>
-                            {
-                                replay_stats.preselect_hits += 1;
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Stage1Probe {
-                                            batch: 0,
-                                            reused: true,
-                                        },
-                                    );
-                                }
-                                system.serve_with_selection(request, e.selection)
-                            }
-                            // The proxy/threshold learned since the probe but
-                            // the index is untouched: stage-1 candidates are
-                            // still exact; re-score stage 2 only.
-                            Some(e) if e.index_epoch == system.selector().index_epoch() => {
-                                replay_stats.stage1_reuses += 1;
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Stage1Probe {
-                                            batch: 0,
-                                            reused: true,
-                                        },
-                                    );
-                                }
-                                system.serve_with_stage1(request, Some(e.stage1))
-                            }
-                            // The index moved (admission/eviction): recompute
-                            // from scratch, as `serve` would.
-                            Some(_) => {
-                                replay_stats.invalidations += 1;
-                                selector_stats.batches += 1;
-                                selector_stats.requests += 1;
-                                selector_stats.max_batch = selector_stats.max_batch.max(1);
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Stage1Probe {
-                                            batch: 1,
-                                            reused: false,
-                                        },
-                                    );
-                                }
-                                system.serve_with_stage1(request, None)
-                            }
-                            // No entry yet: probe stage 1 for every arrival in
-                            // the window in one multi-query shot, precompute
-                            // their full selections, then consume this one's.
-                            None => {
-                                if order.get(win_cursor).copied() != Some(i) {
-                                    debug_assert!(false, "window cursor out of sync at {i}");
-                                    win_cursor = order
-                                        .iter()
-                                        .position(|&j| j == i)
-                                        .expect("arrival is in the firing order");
-                                }
-                                let horizon = at + window;
-                                let mut batch = Vec::new();
-                                while win_cursor < order.len() && batch.len() < probe_cap {
-                                    let j = order[win_cursor];
-                                    if times[j] > horizon {
-                                        break;
-                                    }
-                                    batch.push(j);
-                                    win_cursor += 1;
-                                }
-                                let refs: Vec<&Request> =
-                                    batch.iter().map(|&j| &requests[j]).collect();
-                                let stage1 = system.stage1_batch(&refs);
-                                let index_epoch = system.selector().index_epoch();
-                                let learn_epoch = system.selector().learn_epoch();
-                                for (&j, s1) in batch.iter().zip(stage1) {
-                                    let selection = system.preselect(&requests[j], s1.clone());
-                                    presel[j] = Some(PreSel {
-                                        stage1: s1,
-                                        selection,
-                                        index_epoch,
-                                        learn_epoch,
-                                    });
-                                }
-                                replay_stats.preselects += batch.len() as u64;
-                                selector_stats.batches += 1;
-                                selector_stats.requests += batch.len() as u64;
-                                selector_stats.max_batch =
-                                    selector_stats.max_batch.max(batch.len() as u64);
-                                let e = presel[i].take().expect("the probe covers its own arrival");
-                                replay_stats.preselect_hits += 1;
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Stage1Probe {
-                                            batch: batch.len() as u32,
-                                            reused: false,
-                                        },
-                                    );
-                                }
-                                system.serve_with_selection(request, e.selection)
-                            }
-                        };
+                        let out = system.serve_with_stage1(request, stage1);
                         admit_arrival(
                             i,
                             &out,
@@ -1125,7 +1124,7 @@ impl ServingEngine for EventDrivenEngine {
                             at,
                             now,
                             &mut sim,
-                            &pools,
+                            &mut pools,
                             &model_pools,
                             &pool_epochs,
                             &mut records,
@@ -1137,722 +1136,318 @@ impl ServingEngine for EventDrivenEngine {
                             &mut quality_sum,
                             recorder.as_mut(),
                         );
-                        if let Some(cache) = resp_cache.as_mut()
+                        if config.admit_served_pairs
                             && !records[i].as_ref().expect("record created above").rejected
                         {
-                            cache.admit(&requests[i].embedding, cacheable_response(&out), now);
+                            let _ = system.update_cache(request, &out.outcome, out.model, now);
                         }
                     }
-                    Event::Arrival(first) => {
-                        // Coalesce the run of arrivals sharing this event
-                        // tick into one selector batch. Only *consecutive*
-                        // same-tick arrival events are taken, so ordering
-                        // relative to any interleaved step, maintenance or
-                        // rebalance event is untouched.
-                        let mut batch = vec![first];
-                        while batch.len() < coalesce {
-                            match sim.next_if(|t, ev| t == at && matches!(ev, Event::Arrival(_))) {
-                                Some((_, Event::Arrival(j))) => {
-                                    if par_on {
-                                        barrier.remove(at);
-                                    }
-                                    batch.push(j);
-                                }
-                                Some(_) => unreachable!("predicate admits only arrivals"),
-                                None => break,
-                            }
-                        }
-                        if let Some(cache) = resp_cache.as_mut() {
-                            // --- stage-0 over a coalesced batch ---
-                            // Observe every member in the trending sketch
-                            // *before* serving the first: a same-tick
-                            // stampede of N identical arrivals is already at
-                            // count N when its first member misses, so that
-                            // member's served response is admitted and the
-                            // other N−1 members hit it — one insertion per
-                            // stampede.
-                            for &i in &batch {
-                                cache.observe(&requests[i].embedding, now);
-                            }
-                            // The hoisted stage-1 probe is computed lazily at
-                            // the first miss (an all-hit batch does no
-                            // selector work at all) and covers the whole
-                            // batch: the probe is read-only and nothing
-                            // mutates the index within the tick, so each
-                            // entry is exactly what an inline probe at the
-                            // member's own serve would return.
-                            let mut hoisted: Option<Vec<Vec<(ExampleId, f64)>>> = None;
-                            let mut misses = 0u64;
-                            for (k, &i) in batch.iter().enumerate() {
-                                let owner = system.front_end().replica_of(requests[i].id);
-                                let load_win = &mut arrival_windows[owner];
-                                load_win.push_back(now);
-                                while load_win.len() > config.load_window {
-                                    load_win.pop_front();
-                                }
-                                if load_win.len() >= 2 {
-                                    let dt = now - load_win.front().expect("non-empty window");
-                                    if dt > 0.0 {
-                                        system.front_end_mut().observe_arrival_load(
-                                            owner,
-                                            (load_win.len() - 1) as f64 / dt,
-                                        );
-                                    }
-                                }
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Arrival {
-                                            replica: owner as u32,
-                                        },
-                                    );
-                                }
-                                if let Some(resp) = cache.lookup(&requests[i].embedding, now) {
-                                    serve_stage0_hit(
-                                        i,
-                                        &resp,
-                                        owner,
-                                        at,
-                                        now,
-                                        par_on,
-                                        &mut sim,
-                                        &mut barrier,
-                                        &mut records,
-                                        &mut quality_sum,
-                                        recorder.as_mut(),
-                                    );
-                                    continue;
-                                }
-                                misses += 1;
-                                let stage1 = if batch.len() > 1 {
-                                    let probes = hoisted.get_or_insert_with(|| {
-                                        let refs: Vec<&Request> =
-                                            batch.iter().map(|&j| &requests[j]).collect();
-                                        system.stage1_batch(&refs)
-                                    });
-                                    Some(probes[k].clone())
-                                } else {
-                                    None
-                                };
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Stage1Probe {
-                                            batch: batch.len() as u32,
-                                            reused: false,
-                                        },
-                                    );
-                                }
-                                let request = &requests[i];
-                                let out = system.serve_with_stage1(request, stage1);
-                                admit_arrival(
-                                    i,
-                                    &out,
-                                    config.kv_share,
-                                    at,
-                                    now,
-                                    &mut sim,
-                                    &pools,
-                                    &model_pools,
-                                    &pool_epochs,
-                                    &mut records,
-                                    &mut completed,
-                                    &mut offloaded,
-                                    &mut solicited,
-                                    &mut selection_hits,
-                                    &mut examples_used,
-                                    &mut quality_sum,
-                                    recorder.as_mut(),
-                                );
-                                let rejected =
-                                    records[i].as_ref().expect("record created above").rejected;
-                                if config.admit_served_pairs && !rejected {
-                                    let _ =
-                                        system.update_cache(request, &out.outcome, out.model, now);
-                                }
-                                if !rejected {
-                                    cache.admit(
-                                        &requests[i].embedding,
-                                        cacheable_response(&out),
-                                        now,
-                                    );
-                                }
-                            }
-                            // Selector stats count what stage 1 actually
-                            // served; cache-answered members never reached
-                            // it.
-                            if misses > 0 {
-                                selector_stats.batches += 1;
-                                selector_stats.requests += misses;
-                                selector_stats.max_batch = selector_stats.max_batch.max(misses);
-                            }
-                            continue;
-                        }
-                        // One multi-query stage-1 probe for the whole batch.
-                        // Nothing in this path mutates the example index
-                        // between these arrivals, so each entry is exactly
-                        // the stage-1 result the sequential path would
-                        // compute at its serve call; stage 2, routing and
-                        // feedback still run per request below, in order.
-                        // Singletons let `serve` probe inline.
-                        let stage1: Vec<Option<Vec<(ExampleId, f64)>>> = if batch.len() > 1 {
-                            let refs: Vec<&Request> = batch.iter().map(|&j| &requests[j]).collect();
-                            system.stage1_batch(&refs).into_iter().map(Some).collect()
-                        } else {
-                            vec![None]
-                        };
-                        selector_stats.batches += 1;
-                        selector_stats.requests += batch.len() as u64;
-                        selector_stats.max_batch = selector_stats.max_batch.max(batch.len() as u64);
-                        let probe_batch = batch.len() as u32;
-
-                        for (i, stage1) in batch.into_iter().zip(stage1) {
-                            // Windowed arrival-rate estimate feeds the owning
-                            // replica's load tracker before its routing
-                            // decision (each replica sees only its own
-                            // arrivals).
-                            let owner = system.front_end().replica_of(requests[i].id);
-                            let load_win = &mut arrival_windows[owner];
-                            load_win.push_back(now);
-                            while load_win.len() > config.load_window {
-                                load_win.pop_front();
-                            }
-                            if load_win.len() >= 2 {
-                                let dt = now - load_win.front().expect("non-empty window");
-                                if dt > 0.0 {
-                                    system.front_end_mut().observe_arrival_load(
-                                        owner,
-                                        (load_win.len() - 1) as f64 / dt,
-                                    );
-                                }
-                            }
-
-                            if let Some(rec) = recorder.as_mut() {
-                                rec.record(
-                                    at,
-                                    i as u64,
-                                    ObsKind::Arrival {
-                                        replica: owner as u32,
-                                    },
-                                );
-                                rec.record(
-                                    at,
-                                    i as u64,
-                                    ObsKind::Stage1Probe {
-                                        batch: probe_batch,
-                                        reused: false,
-                                    },
-                                );
-                            }
-                            let request = &requests[i];
-                            let out = system.serve_with_stage1(request, stage1);
-                            admit_arrival(
-                                i,
-                                &out,
-                                config.kv_share,
-                                at,
-                                now,
-                                &mut sim,
-                                &pools,
-                                &model_pools,
-                                &pool_epochs,
-                                &mut records,
-                                &mut completed,
-                                &mut offloaded,
-                                &mut solicited,
-                                &mut selection_hits,
-                                &mut examples_used,
-                                &mut quality_sum,
-                                recorder.as_mut(),
-                            );
-                            if config.admit_served_pairs
-                                && !records[i].as_ref().expect("record created above").rejected
-                            {
-                                let _ = system.update_cache(request, &out.outcome, out.model, now);
-                            }
-                        }
+                }
+                Event::Stage0Complete(i) => {
+                    // The cache-served request completes: the same
+                    // bookkeeping a pool finisher gets, with no pool
+                    // state to touch. Queue wait is zero (the cache
+                    // answered at the arrival tick) and first token ==
+                    // completion (the whole response streams at once).
+                    let record = records[i].as_mut().expect("hit recorded at arrival");
+                    record.queue_s = 0.0;
+                    record.ttft_s = STAGE0_HIT_LATENCY_S;
+                    record.e2e_s = STAGE0_HIT_LATENCY_S;
+                    completions.push(now);
+                    completed += 1;
+                    if sampler_on {
+                        e2e_pct.record(record.e2e_s);
+                        ttft_pct.record(record.ttft_s);
                     }
-                    Event::Stage0Complete(i) => {
-                        // The cache-served request completes: the same
-                        // bookkeeping a pool finisher gets, with no pool
-                        // state to touch. Queue wait is zero (the cache
-                        // answered at the arrival tick) and first token ==
-                        // completion (the whole response streams at once).
-                        let record = records[i].as_mut().expect("hit recorded at arrival");
-                        record.queue_s = 0.0;
-                        record.ttft_s = STAGE0_HIT_LATENCY_S;
-                        record.e2e_s = STAGE0_HIT_LATENCY_S;
+                    // Little's-law feedback at the owning replica: the
+                    // stage-0 tier held exactly this request while
+                    // serving it (mirrors the baseline single-request
+                    // path).
+                    let owner = system.front_end().replica_of(requests[i].id);
+                    system
+                        .front_end_mut()
+                        .observe_completion(owner, STAGE0_HIT_LATENCY_S, 1);
+                    if let Some(rec) = recorder.as_mut() {
+                        rec.record(at, i as u64, ObsKind::Finish { preemptions: 0 });
+                    }
+                }
+                Event::StepComplete(pool, epoch) => {
+                    if epoch != pool_epochs[pool] {
+                        // A failover flushed the lineage this event was
+                        // armed for; the live lineage (if any) has its
+                        // own pending event.
+                        continue;
+                    }
+                    let step = pools[pool].advance_step(at);
+                    // Loop-invariant across this boundary's finishers:
+                    // the step already ran, so pool occupancy is fixed.
+                    let in_system: u32 = pools
+                        .iter()
+                        .map(|p| p.active() + p.queue_len() as u32)
+                        .sum();
+                    for fin in step.finished {
+                        let i = fin.job.id.0 as usize;
+                        let record = records[i].as_mut().expect("completion follows arrival");
+                        record.queue_s = (fin.started - fin.job.arrival).as_secs_f64();
+                        record.ttft_s = (fin.first_token - fin.job.arrival).as_secs_f64();
+                        record.e2e_s = (fin.completed - fin.job.arrival).as_secs_f64();
                         completions.push(now);
                         completed += 1;
                         if sampler_on {
                             e2e_pct.record(record.e2e_s);
                             ttft_pct.record(record.ttft_s);
                         }
-                        // Little's-law feedback at the owning replica: the
-                        // stage-0 tier held exactly this request while
-                        // serving it (mirrors the baseline single-request
-                        // path).
+
+                        // Measured-latency feedback: Little's law turns
+                        // the observed end-to-end latency and the work in
+                        // flight into a demand estimate, recorded at the
+                        // replica that owns the completed request (the
+                        // same path failover retries and the baseline
+                        // `serve_without_ic` feed).
+                        let e2e_s = record.e2e_s;
                         let owner = system.front_end().replica_of(requests[i].id);
                         system
                             .front_end_mut()
-                            .observe_completion(owner, STAGE0_HIT_LATENCY_S, 1);
-                        if let Some(rec) = recorder.as_mut() {
-                            rec.record(at, i as u64, ObsKind::Finish { preemptions: 0 });
-                        }
+                            .observe_completion(owner, e2e_s, in_system);
                     }
-                    Event::StepComplete(pool, epoch) if !par_on => {
-                        if epoch != pool_epochs[pool] {
-                            // A failover flushed the lineage this event was
-                            // armed for; the live lineage (if any) has its
-                            // own pending event.
-                            continue;
-                        }
-                        let step = pools[pool].lock().advance_step(at);
-                        // Loop-invariant across this boundary's finishers:
-                        // the step already ran, so pool occupancy is fixed.
-                        let in_system: u32 = pools
-                            .iter()
-                            .map(|p| {
-                                let p = p.lock();
-                                p.active() + p.queue_len() as u32
-                            })
-                            .sum();
-                        for fin in step.finished {
-                            let i = fin.job.id.0 as usize;
-                            let record = records[i].as_mut().expect("completion follows arrival");
-                            record.queue_s = (fin.started - fin.job.arrival).as_secs_f64();
-                            record.ttft_s = (fin.first_token - fin.job.arrival).as_secs_f64();
-                            record.e2e_s = (fin.completed - fin.job.arrival).as_secs_f64();
-                            completions.push(now);
-                            completed += 1;
-                            if sampler_on {
-                                e2e_pct.record(record.e2e_s);
-                                ttft_pct.record(record.ttft_s);
-                            }
-
-                            // Measured-latency feedback: Little's law turns
-                            // the observed end-to-end latency and the work in
-                            // flight into a demand estimate, recorded at the
-                            // replica that owns the completed request (the
-                            // same path failover retries and the baseline
-                            // `serve_without_ic` feed).
-                            let e2e_s = record.e2e_s;
-                            let owner = system.front_end().replica_of(requests[i].id);
-                            system
-                                .front_end_mut()
-                                .observe_completion(owner, e2e_s, in_system);
-                        }
-                        arm_step(&mut sim, &pools, pool, pool_epochs[pool]);
-                    }
-                    Event::StepComplete(pool, epoch) => {
-                        // --- pool-parallel step region ---
-                        // Gather every consecutive step event off the heap:
-                        // all of them sort before the earliest pending
-                        // non-step event (the region barrier), so each
-                        // pool's chain between here and the barrier depends
-                        // only on that pool's own state.
-                        let mut heads = vec![(at, seq, pool, epoch)];
-                        while let Some((t2, s2, ev)) =
-                            sim.next_if_full(|_, ev| matches!(ev, Event::StepComplete(..)))
-                        {
-                            match ev {
-                                Event::StepComplete(p2, e2) => heads.push((t2, s2, p2, e2)),
-                                _ => unreachable!("predicate admits only step events"),
-                            }
-                        }
-                        // Drop stale lineages (the sequential `continue`).
-                        heads.retain(|&(_, _, p, e)| e == pool_epochs[p]);
-                        if heads.is_empty() {
-                            continue;
-                        }
-                        let region_barrier = barrier.earliest();
-                        debug_assert!(
-                            region_barrier.is_none_or(|b| heads.iter().all(|&(t, ..)| t <= b)),
-                            "step heads must not outrun the barrier"
+                    arm_step(&mut sim, &pools, pool, pool_epochs[pool]);
+                }
+                Event::GossipRound => {
+                    let round = system.run_gossip(now);
+                    if let Some(rec) = recorder.as_mut() {
+                        rec.record(
+                            at,
+                            NO_REQUEST,
+                            ObsKind::GossipRound {
+                                merges: round.merges,
+                                staleness_s: round.staleness_sum_s,
+                            },
                         );
-                        // Occupancy snapshot before any chain advances; the
-                        // merge below updates it in sequential handling
-                        // order so every finisher sees the same `in_system`
-                        // the sequential engine reports.
-                        let mut occ: Vec<u32> = pools
-                            .iter()
-                            .map(|p| {
-                                let p = p.lock();
-                                p.active() + p.queue_len() as u32
-                            })
-                            .collect();
-                        let k = heads.len();
-                        let mut chains: Vec<Option<Vec<ChainStep>>> =
-                            (0..k).map(|_| None).collect();
-                        match workers {
-                            Some(w) if k > 1 => {
-                                // One hand-off per worker: the region's
-                                // chains are grouped into per-worker
-                                // batches and each batch crosses the
-                                // channel as a single message (ditto
-                                // the reply), instead of one send and
-                                // one recv per chain.
-                                let nw = w.task_txs.len();
-                                let mut batches: Vec<Vec<RegionTask>> =
-                                    (0..nw).map(|_| Vec::new()).collect();
-                                for (slot, &(t_h, _, p_h, _)) in heads.iter().enumerate().skip(1) {
-                                    batches[(slot - 1) % nw].push(RegionTask {
-                                        slot,
-                                        pool: p_h,
-                                        at: t_h,
-                                        barrier: region_barrier,
-                                    });
-                                }
-                                let mut outstanding = 0usize;
-                                for (wi, batch) in batches.into_iter().enumerate() {
-                                    if !batch.is_empty() {
-                                        w.task_txs[wi].send(batch).expect("region worker alive");
-                                        outstanding += 1;
-                                    }
-                                }
-                                chains[0] = Some(
-                                    pools[heads[0].2]
-                                        .lock()
-                                        .advance_chain(heads[0].0, region_barrier),
-                                );
-                                for _ in 0..outstanding {
-                                    for (slot, chain) in w.recv_results() {
-                                        chains[slot] = Some(chain);
-                                    }
-                                }
-                            }
-                            _ => {
-                                for (slot, &(t_h, _, p_h, _)) in heads.iter().enumerate() {
-                                    chains[slot] =
-                                        Some(pools[p_h].lock().advance_chain(t_h, region_barrier));
-                                }
-                            }
-                        }
-                        replay_stats.parallel_regions += 1;
-
-                        // Deterministic merge: replay the chains in the exact
-                        // `(time, seq)` order the sequential engine would
-                        // have handled them, burning the same sequence
-                        // numbers it would have assigned — intermediate
-                        // rearms consume a reserved seq, the final rearm per
-                        // pool goes back into the real queue.
-                        let mut merge: BinaryHeap<Reverse<(SimTime, u64, usize, usize)>> = heads
-                            .iter()
-                            .enumerate()
-                            .map(|(slot, &(t, s, _, _))| Reverse((t, s, slot, 0)))
-                            .collect();
-                        while let Some(Reverse((t, _, slot, idx))) = merge.pop() {
-                            let (_, _, p_h, e_h) = heads[slot];
-                            let chain = chains[slot].as_ref().expect("chain collected");
-                            let step = &chain[idx];
-                            debug_assert_eq!(step.at, t, "merge key tracks the chain");
-                            replay_stats.parallel_steps += 1;
-                            occ[p_h] = step.occ_after;
-                            let in_system: u32 = occ.iter().sum();
-                            let t_s = t.as_secs_f64();
-                            for fin in &step.report.finished {
-                                let i = fin.job.id.0 as usize;
-                                let record =
-                                    records[i].as_mut().expect("completion follows arrival");
-                                record.queue_s = (fin.started - fin.job.arrival).as_secs_f64();
-                                record.ttft_s = (fin.first_token - fin.job.arrival).as_secs_f64();
-                                record.e2e_s = (fin.completed - fin.job.arrival).as_secs_f64();
-                                completions.push(t_s);
-                                completed += 1;
-                                if sampler_on {
-                                    e2e_pct.record(record.e2e_s);
-                                    ttft_pct.record(record.ttft_s);
-                                }
-                                let e2e_s = record.e2e_s;
-                                let owner = system.front_end().replica_of(requests[i].id);
-                                system
-                                    .front_end_mut()
-                                    .observe_completion(owner, e2e_s, in_system);
-                            }
-                            if let Some(dt) = step.next_dt {
-                                let next_t = step.at + SimDuration::from_secs_f64(dt);
-                                if idx + 1 < chain.len() {
-                                    let s_next = sim.reserve_seq();
-                                    merge.push(Reverse((next_t, s_next, slot, idx + 1)));
-                                } else {
-                                    // The chain stopped at the barrier: rearm
-                                    // in the real queue, at exactly the seq
-                                    // the sequential engine would assign at
-                                    // this point in its handling order.
-                                    sim.schedule(next_t, Event::StepComplete(p_h, e_h));
-                                }
-                            }
-                        }
                     }
-                    Event::GossipRound => {
-                        let round = system.run_gossip(now);
+                    if completed < n {
+                        gossip.arm(&mut sim, Event::GossipRound);
+                    }
+                }
+                Event::PoolDown(pool) => {
+                    // Mark the model down first so the retries below (and
+                    // all future arrivals) route around it, then flush
+                    // everything the pool held — running sequences free
+                    // their KV blocks through the normal kvmem release
+                    // path — and re-enqueue each job through the router
+                    // tier as a retry. Overlapping outage windows nest:
+                    // the depth counter keeps the pool down until the
+                    // last window's recovery. The epoch bump invalidates
+                    // the flushed lineage's in-flight step event.
+                    let model = model_pools[pool].0;
+                    system.failover_mut().set_model_healthy(model, false);
+                    down_depth[pool] += 1;
+                    pool_epochs[pool] += 1;
+                    if let Some(rec) = recorder.as_mut() {
+                        rec.record(at, NO_REQUEST, ObsKind::PoolDown { pool: pool as u32 });
+                    }
+                    for job_id in pools[pool].fail_over() {
+                        let i = job_id.0 as usize;
+                        failover_requeues += 1;
+                        if let Some(rec) = recorder.as_mut() {
+                            rec.record(at, i as u64, ObsKind::FailoverFlush { pool: pool as u32 });
+                        }
+                        let old = records[i].as_ref().expect("flushed job was served");
+                        let original_arrival = SimTime::from_secs_f64(old.arrival_s);
+                        // The first serving never completed: withdraw its
+                        // contributions before the retry re-tallies.
+                        if old.offloaded {
+                            offloaded -= 1;
+                        }
+                        if old.solicited {
+                            solicited -= 1;
+                        }
+                        if old.examples > 0 {
+                            selection_hits -= 1;
+                            examples_used -= old.examples as u64;
+                        }
+                        quality_sum -= old.quality;
+                        let arrival_s = old.arrival_s;
+
+                        // Retry: a fresh selection + routing decision at
+                        // the owning replica (the down model is excluded
+                        // by the failover state) and a fresh generation —
+                        // through the stats-neutral retry path, so the
+                        // already-counted request is not double-probed
+                        // into the selector/router stats and no bandit
+                        // feedback is absorbed twice. Retries also bypass
+                        // stage 0: a cached answer cannot be re-offered
+                        // for a request the tier already answered once.
+                        let request = &requests[i];
+                        let out = system.serve_retry(request);
+                        records[i] = Some(RequestRecord {
+                            index: i,
+                            model: out.model.0,
+                            offloaded: out.offloaded,
+                            quality: out.outcome.quality,
+                            solicited: out.solicited_feedback,
+                            examples: out.selection.ids.len(),
+                            arrival_s,
+                            queue_s: 0.0,
+                            ttft_s: 0.0,
+                            e2e_s: 0.0,
+                            rejected: false,
+                        });
+                        let retry_pool = pool_index(&model_pools, out.model);
                         if let Some(rec) = recorder.as_mut() {
                             rec.record(
                                 at,
-                                NO_REQUEST,
-                                ObsKind::GossipRound {
-                                    merges: round.merges,
-                                    staleness_s: round.staleness_sum_s,
+                                i as u64,
+                                ObsKind::Selected {
+                                    model: out.model.0 as u32,
+                                    examples: out.selection.ids.len() as u32,
+                                    offloaded: out.offloaded,
+                                },
+                            );
+                            rec.record(
+                                at,
+                                i as u64,
+                                ObsKind::RouterDecision {
+                                    pool: retry_pool as u32,
                                 },
                             );
                         }
-                        if completed < n && gossip.arm(&mut sim, Event::GossipRound) && par_on {
-                            barrier.add(at + gossip.period().expect("armed implies enabled"));
-                        }
-                    }
-                    Event::PoolDown(pool) => {
-                        // Mark the model down first so the retries below (and
-                        // all future arrivals) route around it, then flush
-                        // everything the pool held — running sequences free
-                        // their KV blocks through the normal kvmem release
-                        // path — and re-enqueue each job through the router
-                        // tier as a retry. Overlapping outage windows nest:
-                        // the depth counter keeps the pool down until the
-                        // last window's recovery. The epoch bump invalidates
-                        // the flushed lineage's in-flight step event.
-                        let model = model_pools[pool].0;
-                        system.failover_mut().set_model_healthy(model, false);
-                        down_depth[pool] += 1;
-                        pool_epochs[pool] += 1;
-                        if let Some(rec) = recorder.as_mut() {
-                            rec.record(at, NO_REQUEST, ObsKind::PoolDown { pool: pool as u32 });
-                        }
-                        for job_id in pools[pool].lock().fail_over() {
-                            let i = job_id.0 as usize;
-                            failover_requeues += 1;
+                        let job = JobSpec {
+                            id: JobId(i as u64),
+                            pool: retry_pool,
+                            // Latency stays measured from the *original*
+                            // arrival: the outage's lost time is part of
+                            // the user-visible queueing delay.
+                            arrival: original_arrival,
+                            ttft_secs: out.outcome.latency.ttft,
+                            decode_secs: out.outcome.latency.decode,
+                            prefill_tokens: out.outcome.input_tokens,
+                            decode_tokens: out.outcome.output_tokens,
+                            priority: 0,
+                            share: shared_prefix_of(&out, config.kv_share),
+                        };
+                        let offer = pools[retry_pool].offer(job, at);
+                        if offer == Offer::Rejected {
                             if let Some(rec) = recorder.as_mut() {
+                                rec.record(at, i as u64, ObsKind::RejectedByCap { retry: true });
+                            }
+                            let record = records[i].as_mut().expect("record created above");
+                            record.rejected = true;
+                            completed += 1;
+                            retry_rejects += 1;
+                        } else {
+                            if offer == Offer::Started {
+                                arm_step(&mut sim, &pools, retry_pool, pool_epochs[retry_pool]);
+                            } else if let Some(rec) = recorder.as_mut() {
                                 rec.record(
                                     at,
                                     i as u64,
-                                    ObsKind::FailoverFlush { pool: pool as u32 },
-                                );
-                            }
-                            let old = records[i].as_ref().expect("flushed job was served");
-                            let original_arrival = SimTime::from_secs_f64(old.arrival_s);
-                            // The first serving never completed: withdraw its
-                            // contributions before the retry re-tallies.
-                            if old.offloaded {
-                                offloaded -= 1;
-                            }
-                            if old.solicited {
-                                solicited -= 1;
-                            }
-                            if old.examples > 0 {
-                                selection_hits -= 1;
-                                examples_used -= old.examples as u64;
-                            }
-                            quality_sum -= old.quality;
-                            let arrival_s = old.arrival_s;
-
-                            // Retry: a fresh selection + routing decision at
-                            // the owning replica (the down model is excluded
-                            // by the failover state) and a fresh generation —
-                            // through the stats-neutral retry path, so the
-                            // already-counted request is not double-probed
-                            // into the selector/router stats and no bandit
-                            // feedback is absorbed twice. Retries also bypass
-                            // stage 0: a cached answer cannot be re-offered
-                            // for a request the tier already answered once.
-                            let request = &requests[i];
-                            let out = system.serve_retry(request);
-                            records[i] = Some(RequestRecord {
-                                index: i,
-                                model: out.model.0,
-                                offloaded: out.offloaded,
-                                quality: out.outcome.quality,
-                                solicited: out.solicited_feedback,
-                                examples: out.selection.ids.len(),
-                                arrival_s,
-                                queue_s: 0.0,
-                                ttft_s: 0.0,
-                                e2e_s: 0.0,
-                                rejected: false,
-                            });
-                            let retry_pool = pool_index(&model_pools, out.model);
-                            if let Some(rec) = recorder.as_mut() {
-                                rec.record(
-                                    at,
-                                    i as u64,
-                                    ObsKind::Selected {
-                                        model: out.model.0 as u32,
-                                        examples: out.selection.ids.len() as u32,
-                                        offloaded: out.offloaded,
-                                    },
-                                );
-                                rec.record(
-                                    at,
-                                    i as u64,
-                                    ObsKind::RouterDecision {
+                                    ObsKind::Enqueued {
                                         pool: retry_pool as u32,
                                     },
                                 );
                             }
-                            let job = JobSpec {
-                                id: JobId(i as u64),
-                                pool: retry_pool,
-                                // Latency stays measured from the *original*
-                                // arrival: the outage's lost time is part of
-                                // the user-visible queueing delay.
-                                arrival: original_arrival,
-                                ttft_secs: out.outcome.latency.ttft,
-                                decode_secs: out.outcome.latency.decode,
-                                prefill_tokens: out.outcome.input_tokens,
-                                decode_tokens: out.outcome.output_tokens,
-                                priority: 0,
-                                share: shared_prefix_of(&out, config.kv_share),
-                            };
-                            let offer = pools[retry_pool].lock().offer(job, at);
-                            if offer == Offer::Rejected {
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::RejectedByCap { retry: true },
-                                    );
-                                }
-                                let record = records[i].as_mut().expect("record created above");
-                                record.rejected = true;
-                                completed += 1;
-                                retry_rejects += 1;
-                            } else {
-                                if offer == Offer::Started {
-                                    arm_step(&mut sim, &pools, retry_pool, pool_epochs[retry_pool]);
-                                } else if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Enqueued {
-                                            pool: retry_pool as u32,
-                                        },
-                                    );
-                                }
-                                // No `update_cache` here: the request's pair
-                                // was already admitted at its arrival (when
-                                // `admit_served_pairs` is on); re-admitting
-                                // the retry outcome would double-cache it.
-                                if out.offloaded {
-                                    offloaded += 1;
-                                }
-                                if out.solicited_feedback {
-                                    solicited += 1;
-                                }
-                                if !out.selection.ids.is_empty() {
-                                    selection_hits += 1;
-                                    examples_used += out.selection.ids.len() as u64;
-                                }
-                                quality_sum += out.outcome.quality;
+                            // No `update_cache` here: the request's pair
+                            // was already admitted at its arrival (when
+                            // `admit_served_pairs` is on); re-admitting
+                            // the retry outcome would double-cache it.
+                            if out.offloaded {
+                                offloaded += 1;
                             }
-                        }
-                    }
-                    Event::PoolUp(pool) => {
-                        // Recover only when the outermost outage window
-                        // closes (nested windows each delivered a PoolDown).
-                        if let Some(rec) = recorder.as_mut() {
-                            rec.record(at, NO_REQUEST, ObsKind::PoolUp { pool: pool as u32 });
-                        }
-                        down_depth[pool] = down_depth[pool].saturating_sub(1);
-                        if down_depth[pool] == 0 {
-                            let model = model_pools[pool].0;
-                            system.failover_mut().set_model_healthy(model, true);
-                        }
-                    }
-                    Event::Maintenance => {
-                        let report = system.run_maintenance(now);
-                        evicted += report.evicted as u64;
-                        if completed < n {
-                            let period = SimDuration::from_secs_f64(config.maintenance_period_s);
-                            sim.schedule_in(period, Event::Maintenance);
-                            if par_on {
-                                barrier.add(at + period);
+                            if out.solicited_feedback {
+                                solicited += 1;
                             }
-                        }
-                    }
-                    Event::Rebalance => {
-                        evicted += system.run_rebalance(now) as u64;
-                        if completed < n {
-                            let period = SimDuration::from_secs_f64(config.rebalance_period_s);
-                            sim.schedule_in(period, Event::Rebalance);
-                            if par_on {
-                                barrier.add(at + period);
+                            if !out.selection.ids.is_empty() {
+                                selection_hits += 1;
+                                examples_used += out.selection.ids.len() as u64;
                             }
-                        }
-                    }
-                    Event::ObsSample => {
-                        // Percentile gauges: reuse the memoized sorted
-                        // snapshot unless a completion landed since the
-                        // last tick.
-                        let cache = match pct_cache.take() {
-                            Some(c) if c.0 == e2e_pct.len() => c,
-                            _ => (e2e_pct.len(), e2e_pct.snapshot(), ttft_pct.snapshot()),
-                        };
-                        let (_, e2e_snap, ttft_snap) = &cache;
-                        let pool_samples: Vec<PoolSample> = pools
-                            .iter()
-                            .map(|p| {
-                                let p = p.lock();
-                                PoolSample {
-                                    queue: p.queue_len() as u32,
-                                    active: p.active(),
-                                    swapped: p.swapped_len() as u32,
-                                    kv_used_blocks: p.kv_used_blocks(),
-                                    kv_occupancy: p.kv_occupancy(),
-                                    kv_shared_blocks: p.kv_shared_blocks(),
-                                    dedup_ratio: p.kv_stats().dedup_ratio(),
-                                    mean_step_batch: p.iter_stats().mean_step_batch(),
-                                }
-                            })
-                            .collect();
-                        // Pool queue caps count every drop, retries
-                        // included; the sample splits them back out.
-                        let total_rejects: u64 = pools.iter().map(|p| p.lock().rejected()).sum();
-                        let fe = system.front_end().stats();
-                        samples.push(TelemetrySample {
-                            t_us: at.as_micros(),
-                            completed: completed as u64,
-                            queue_rejects: total_rejects.saturating_sub(retry_rejects),
-                            retry_rejects,
-                            failover_requeues,
-                            p50_e2e_s: e2e_snap.p50().unwrap_or(0.0),
-                            p99_e2e_s: e2e_snap.p99().unwrap_or(0.0),
-                            p50_ttft_s: ttft_snap.p50().unwrap_or(0.0),
-                            p99_ttft_s: ttft_snap.p99().unwrap_or(0.0),
-                            pools: pool_samples,
-                            load_estimates: fe.load_estimates,
-                            decisions: fe.decisions,
-                            gossip_rounds: fe.gossip_rounds,
-                            mean_staleness_s: if fe.merges == 0 {
-                                0.0
-                            } else {
-                                fe.staleness_sum_s / fe.merges as f64
-                            },
-                        });
-                        pct_cache = Some(cache);
-                        if completed < n && sampler.arm(&mut sim, Event::ObsSample) && par_on {
-                            barrier.add(at + sampler.period().expect("armed implies enabled"));
+                            quality_sum += out.outcome.quality;
                         }
                     }
                 }
+                Event::PoolUp(pool) => {
+                    // Recover only when the outermost outage window
+                    // closes (nested windows each delivered a PoolDown).
+                    if let Some(rec) = recorder.as_mut() {
+                        rec.record(at, NO_REQUEST, ObsKind::PoolUp { pool: pool as u32 });
+                    }
+                    down_depth[pool] = down_depth[pool].saturating_sub(1);
+                    if down_depth[pool] == 0 {
+                        let model = model_pools[pool].0;
+                        system.failover_mut().set_model_healthy(model, true);
+                    }
+                }
+                Event::Maintenance => {
+                    let report = system.run_maintenance(now);
+                    evicted += report.evicted as u64;
+                    if completed < n {
+                        let period = SimDuration::from_secs_f64(config.maintenance_period_s);
+                        sim.schedule_in(period, Event::Maintenance);
+                    }
+                }
+                Event::Rebalance => {
+                    evicted += system.run_rebalance(now) as u64;
+                    if completed < n {
+                        let period = SimDuration::from_secs_f64(config.rebalance_period_s);
+                        sim.schedule_in(period, Event::Rebalance);
+                    }
+                }
+                Event::ObsSample => {
+                    // Percentile gauges: reuse the memoized sorted
+                    // snapshot unless a completion landed since the
+                    // last tick.
+                    let cache = match pct_cache.take() {
+                        Some(c) if c.0 == e2e_pct.len() => c,
+                        _ => (e2e_pct.len(), e2e_pct.snapshot(), ttft_pct.snapshot()),
+                    };
+                    let (_, e2e_snap, ttft_snap) = &cache;
+                    let pool_samples: Vec<PoolSample> = pools
+                        .iter()
+                        .map(|p| PoolSample {
+                            queue: p.queue_len() as u32,
+                            active: p.active(),
+                            swapped: p.swapped_len() as u32,
+                            kv_used_blocks: p.kv_used_blocks(),
+                            kv_occupancy: p.kv_occupancy(),
+                            kv_shared_blocks: p.kv_shared_blocks(),
+                            dedup_ratio: p.kv_stats().dedup_ratio(),
+                            mean_step_batch: p.iter_stats().mean_step_batch(),
+                        })
+                        .collect();
+                    // Pool queue caps count every drop, retries
+                    // included; the sample splits them back out.
+                    let total_rejects: u64 = pools.iter().map(|p| p.rejected()).sum();
+                    let fe = system.front_end().stats();
+                    samples.push(TelemetrySample {
+                        t_us: at.as_micros(),
+                        completed: completed as u64,
+                        queue_rejects: total_rejects.saturating_sub(retry_rejects),
+                        retry_rejects,
+                        failover_requeues,
+                        p50_e2e_s: e2e_snap.p50().unwrap_or(0.0),
+                        p99_e2e_s: e2e_snap.p99().unwrap_or(0.0),
+                        p50_ttft_s: ttft_snap.p50().unwrap_or(0.0),
+                        p99_ttft_s: ttft_snap.p99().unwrap_or(0.0),
+                        pools: pool_samples,
+                        load_estimates: fe.load_estimates,
+                        decisions: fe.decisions,
+                        gossip_rounds: fe.gossip_rounds,
+                        mean_staleness_s: if fe.merges == 0 {
+                            0.0
+                        } else {
+                            fe.staleness_sum_s / fe.merges as f64
+                        },
+                    });
+                    pct_cache = Some(cache);
+                    if completed < n {
+                        sampler.arm(&mut sim, Event::ObsSample);
+                    }
+                }
             }
-        };
-
-        // Sequential replay runs the loop inline; the parallel replay
-        // hosts it inside a thread scope so region workers can borrow
-        // the pools for the duration of the run.
-        if par_on {
-            std::thread::scope(|scope| {
-                let workers = RegionWorkers::spawn(scope, &pools, threads - 1, config.replay_spin);
-                event_loop(Some(&workers));
-            });
-        } else {
-            event_loop(None);
         }
 
         let mut iter = IterStats::default();
         let mut kv = KvStats::default();
         for p in &pools {
-            let p = p.lock();
             iter.merge(&p.iter_stats());
             kv.merge(&p.kv_stats());
         }
@@ -1868,7 +1463,7 @@ impl ServingEngine for EventDrivenEngine {
             let (events, dropped) = match recorder {
                 Some(rec) => {
                     let lanes: Vec<LaneBuf> =
-                        pools.iter().filter_map(|p| p.lock().take_obs()).collect();
+                        pools.iter_mut().filter_map(|p| p.take_obs()).collect();
                     rec.finish(lanes)
                 }
                 None => (Vec::new(), 0),
@@ -2288,22 +1883,40 @@ mod tests {
 
     #[test]
     fn same_seed_is_byte_identical() {
-        let run = || {
-            let (mut engine, mut wg) = seeded_engine(500, EngineConfig::default(), 409);
-            let arrivals = fixed_qps_arrivals(3.0, 90.0, 410);
+        let run = |config: &EngineConfig, seed: u64, qps: f64, secs: f64| {
+            let (mut engine, mut wg) = seeded_engine(500, config.clone(), seed);
+            let arrivals = fixed_qps_arrivals(qps, secs, seed + 1);
             let requests = wg.generate_requests(arrivals.len());
-            engine.serve_workload(&requests, &arrivals).to_json()
+            engine.serve_workload(&requests, &arrivals)
         };
-        assert_eq!(run(), run());
+        let default = EngineConfig::default();
+        assert_eq!(
+            run(&default, 409, 3.0, 90.0).to_json(),
+            run(&default, 409, 3.0, 90.0).to_json()
+        );
+        // Failover flushes (pool epochs), retries and multi-replica
+        // gossip rounds composed in one run.
+        let outage = EngineConfig {
+            router_replicas: 3,
+            gossip_period_s: 5.0,
+            pool_outages: vec![PoolOutage {
+                pool: 0,
+                at_s: 10.0,
+                duration_s: 15.0,
+            }],
+            ..EngineConfig::default()
+        };
+        let first = run(&outage, 460, 25.0, 40.0);
+        assert!(first.router.failover_requeues > 0, "outage must bite");
+        assert_eq!(first.to_json(), run(&outage, 460, 25.0, 40.0).to_json());
     }
 
-    /// One engine run with the replay knobs (look-ahead window, worker
-    /// threads) set on top of the default config.
-    fn run_replay(window_s: f64, threads: usize, arrivals: &[f64], seed: u64) -> EngineReport {
+    /// One engine run with the look-ahead window set on top of the
+    /// default config.
+    fn run_replay(window_s: f64, arrivals: &[f64], seed: u64) -> EngineReport {
         let config = EngineConfig {
             selector_batch: 8,
             selector_window_s: window_s,
-            replay_threads: threads,
             ..EngineConfig::default()
         };
         let (mut engine, mut wg) = seeded_engine(500, config, seed);
@@ -2319,7 +1932,7 @@ mod tests {
         // block may move.
         let arrivals = fixed_qps_arrivals(4.0, 60.0, 452);
         let sequential = run_batched(0, None, &arrivals, 451);
-        let windowed = run_replay(2.0, 1, &arrivals, 451);
+        let windowed = run_replay(2.0, &arrivals, 451);
         assert_eq!(windowed.replay.preselects, arrivals.len() as u64);
         assert!(windowed.replay.preselect_hits > 0);
         assert_eq!(
@@ -2349,7 +1962,7 @@ mod tests {
         let arrivals = tick_burst_arrivals(96, 4, 0.5);
         let sequential = run_batched(0, None, &arrivals, 453);
         let same_tick = run_batched(8, None, &arrivals, 453);
-        let windowed = run_replay(2.0, 1, &arrivals, 453);
+        let windowed = run_replay(2.0, &arrivals, 453);
         assert_eq!(same_tick.selector.max_batch, 4);
         assert!(
             windowed.selector.max_batch > 4,
@@ -2376,77 +1989,5 @@ mod tests {
         let report = engine.serve_workload(&requests, &arrivals);
         assert_eq!(report.replay.preselects, 0, "window must be off");
         assert_eq!(report.selector.max_batch, 1);
-    }
-
-    #[test]
-    fn parallel_stepping_is_bit_identical_to_sequential() {
-        // Worker-thread stepping touches no selector state, so the
-        // whole report — selector block included — must match
-        // byte-for-byte, not just modulo masking.
-        let arrivals = fixed_qps_arrivals(3.0, 90.0, 457);
-        let run = |threads: usize| {
-            let config = EngineConfig {
-                replay_threads: threads,
-                ..EngineConfig::default()
-            };
-            let (mut engine, mut wg) = seeded_engine(500, config, 456);
-            let requests = wg.generate_requests(arrivals.len());
-            engine.serve_workload(&requests, &arrivals)
-        };
-        let sequential = run(1);
-        let parallel = run(4);
-        assert!(
-            parallel.replay.parallel_regions > 0,
-            "regions must form: {:?}",
-            parallel.replay
-        );
-        assert!(parallel.replay.parallel_steps > 0);
-        assert_eq!(sequential.replay.parallel_regions, 0);
-        assert_same_decisions(&sequential, &parallel);
-        assert_eq!(sequential.to_json(), parallel.to_json());
-    }
-
-    #[test]
-    fn parallel_and_windowed_replay_compose() {
-        let arrivals = fixed_qps_arrivals(5.0, 60.0, 459);
-        let sequential = run_batched(0, None, &arrivals, 458);
-        let fast = run_replay(2.0, 4, &arrivals, 458);
-        assert!(fast.replay.preselect_hits > 0);
-        assert!(fast.replay.parallel_steps > 0);
-        assert_same_decisions(&sequential, &fast);
-        assert_eq!(
-            mask_selector_block(&sequential.to_json()),
-            mask_selector_block(&fast.to_json())
-        );
-    }
-
-    #[test]
-    fn parallel_stepping_survives_outages_and_gossip() {
-        // Failover flushes (pool epochs), retries and multi-replica
-        // gossip rounds all act as region barriers; the parallel replay
-        // must stay bit-identical through them.
-        let arrivals = fixed_qps_arrivals(25.0, 40.0, 461);
-        let run = |threads: usize| {
-            let config = EngineConfig {
-                replay_threads: threads,
-                router_replicas: 3,
-                gossip_period_s: 5.0,
-                pool_outages: vec![PoolOutage {
-                    pool: 0,
-                    at_s: 10.0,
-                    duration_s: 15.0,
-                }],
-                ..EngineConfig::default()
-            };
-            let (mut engine, mut wg) = seeded_engine(500, config, 460);
-            let requests = wg.generate_requests(arrivals.len());
-            engine.serve_workload(&requests, &arrivals)
-        };
-        let sequential = run(1);
-        let parallel = run(4);
-        assert!(sequential.router.failover_requeues > 0, "outage must bite");
-        assert!(parallel.replay.parallel_regions > 0);
-        assert_same_decisions(&sequential, &parallel);
-        assert_eq!(sequential.to_json(), parallel.to_json());
     }
 }

@@ -147,8 +147,7 @@ impl SelectorStats {
 }
 
 /// Replay-acceleration counters for one engine run (bounded-delay
-/// selector windows and pool-parallel stepping; see
-/// `EngineConfig::selector_window_s` / `EngineConfig::replay_threads`).
+/// selector windows; see `EngineConfig::selector_window_s`).
 ///
 /// Diagnostics only: deliberately **not** serialized by
 /// [`EngineReport::to_json`], so the byte-deterministic report is
@@ -157,8 +156,6 @@ impl SelectorStats {
 /// JSONL summary footer by `fig12_e2e` when sampling is on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
-    /// Worker threads the run was configured with (`<= 1` = sequential).
-    pub threads: u64,
     /// Selections precomputed through the look-ahead window.
     pub preselects: u64,
     /// Arrivals served from a still-valid precomputed selection.
@@ -170,10 +167,6 @@ pub struct ReplayStats {
     /// Precomputed entries discarded because the example index changed
     /// between the window probe and the arrival.
     pub invalidations: u64,
-    /// Parallel step regions executed between router interactions.
-    pub parallel_regions: u64,
-    /// Step boundaries executed inside those regions.
-    pub parallel_steps: u64,
 }
 
 impl ReplayStats {
@@ -184,17 +177,10 @@ impl ReplayStats {
     pub fn to_json(&self) -> String {
         format!(
             concat!(
-                "{{\"threads\":{},\"preselects\":{},\"preselect_hits\":{},",
-                "\"stage1_reuses\":{},\"invalidations\":{},",
-                "\"parallel_regions\":{},\"parallel_steps\":{}}}"
+                "{{\"preselects\":{},\"preselect_hits\":{},",
+                "\"stage1_reuses\":{},\"invalidations\":{}}}"
             ),
-            self.threads,
-            self.preselects,
-            self.preselect_hits,
-            self.stage1_reuses,
-            self.invalidations,
-            self.parallel_regions,
-            self.parallel_steps,
+            self.preselects, self.preselect_hits, self.stage1_reuses, self.invalidations,
         )
     }
 }
@@ -288,8 +274,7 @@ pub struct EngineReport {
     /// pre-populations, stale evictions, stored bytes). All zero when
     /// the tier is off (`EngineConfig::resp_cache`).
     pub resp_cache: ic_respcache::RespCacheStats,
-    /// Replay-acceleration counters (look-ahead windows, parallel step
-    /// regions). Excluded from [`EngineReport::to_json`] by design;
+    /// Replay-acceleration counters (look-ahead windows). Excluded from [`EngineReport::to_json`] by design;
     /// persisted through the telemetry artifact instead
     /// ([`ReplayStats::to_json`]).
     pub replay: ReplayStats,

@@ -98,7 +98,7 @@
 
 use std::collections::VecDeque;
 
-use ic_desim::{SimDuration, SimTime};
+use ic_desim::SimTime;
 use ic_kvmem::{BlockId, BlockPool, Divergence, KvStats, KvSwap, PressurePolicy, Watermarks};
 use ic_obs::{EventKind, LaneBuf, NO_REQUEST};
 
@@ -351,21 +351,6 @@ pub struct StepReport {
     pub pressure_preempted: u32,
     /// Swapped-out sequences brought back at this boundary.
     pub resumed: u32,
-}
-
-/// One boundary produced by [`ModelPool::advance_chain`]: the step's
-/// outcome plus the state a replay driver needs to merge the chain back
-/// into a global event order without re-touching the pool.
-#[derive(Debug)]
-pub struct ChainStep {
-    /// Instant the step boundary fired.
-    pub at: SimTime,
-    /// What happened at the boundary.
-    pub report: StepReport,
-    /// Running + queued sequences immediately after the boundary.
-    pub occ_after: u32,
-    /// Duration of the next iteration, if the pool stays busy.
-    pub next_dt: Option<f64>,
 }
 
 /// One pooled arena holding every running sequence's KV block table as
@@ -856,8 +841,7 @@ impl ModelPool {
     }
 
     /// Installs the lifecycle-event recording lane. Every scheduler
-    /// transition from here on is recorded into it (under whatever lock
-    /// guards the pool, so parallel chain execution stays safe).
+    /// transition from here on is recorded into it.
     pub fn set_obs(&mut self, lane: LaneBuf) {
         self.obs = Some(lane);
     }
@@ -1579,46 +1563,6 @@ impl ModelPool {
         report
     }
 
-    /// Runs a chain of step boundaries starting at `from`, stopping before
-    /// the first boundary that would land at or past `barrier`.
-    ///
-    /// Between two router interactions a pool's step chain is completely
-    /// self-contained: each [`ModelPool::advance_step`] depends only on the
-    /// pool's own state, and the time of the next boundary is `t +
-    /// step_secs()`. A replay driver exploits that by executing whole
-    /// chains here — possibly on a worker thread — and merging the returned
-    /// [`ChainStep`]s back into the global `(time, seq)` order.
-    ///
-    /// The first step always executes (the caller popped its event, so it
-    /// is already committed); follow-up steps run only while their boundary
-    /// falls *strictly* before `barrier`. A boundary exactly at the barrier
-    /// must not run: the barrier event was scheduled first, so its sequence
-    /// number sorts ahead of the rearmed step at the same instant. `None`
-    /// means no barrier — the chain runs until the pool idles.
-    pub fn advance_chain(&mut self, from: SimTime, barrier: Option<SimTime>) -> Vec<ChainStep> {
-        let mut out = Vec::new();
-        let mut at = from;
-        loop {
-            let report = self.advance_step(at);
-            let next_dt = self.step_secs();
-            out.push(ChainStep {
-                at,
-                report,
-                occ_after: self.active() + self.queue_len() as u32,
-                next_dt,
-            });
-            let Some(dt) = next_dt else { break };
-            let next = at + SimDuration::from_secs_f64(dt);
-            if let Some(b) = barrier
-                && next >= b
-            {
-                break;
-            }
-            at = next;
-        }
-        out
-    }
-
     /// Frees a retiring sequence's KV blocks back to the pool.
     fn retire_kv(&mut self, s: &mut Sequence) {
         if let Some(kv) = &mut self.kv {
@@ -1752,54 +1696,6 @@ mod tests {
             assert!(guard < 100_000, "runaway step loop");
         }
         (done, now)
-    }
-
-    #[test]
-    fn advance_chain_matches_stepwise_advance() {
-        let build = || {
-            let mut p = pool_with(2, 64, 3, None);
-            for i in 0..6 {
-                p.offer(job_with(i, 0.1, 1.0, 100, 8), SimTime::ZERO);
-            }
-            p
-        };
-        let barrier_at = SimTime::from_secs_f64(1.7);
-        // Reference: manual advance_step loop under the same strict-barrier
-        // rule the chain uses.
-        let mut seq_pool = build();
-        let mut expect = Vec::new();
-        let mut at = SimTime::from_secs_f64(seq_pool.step_secs().expect("busy"));
-        loop {
-            let report = seq_pool.advance_step(at);
-            let next_dt = seq_pool.step_secs();
-            expect.push((at, format!("{report:?}"), next_dt));
-            let Some(dt) = next_dt else { break };
-            let next = at + SimDuration::from_secs_f64(dt);
-            if next >= barrier_at {
-                break;
-            }
-            at = next;
-        }
-        let mut chain_pool = build();
-        let from = SimTime::from_secs_f64(chain_pool.step_secs().expect("busy"));
-        let chain = chain_pool.advance_chain(from, Some(barrier_at));
-        assert_eq!(chain.len(), expect.len());
-        assert!(chain.len() > 1, "chain should cover several boundaries");
-        for (got, (t, rep, dt)) in chain.iter().zip(&expect) {
-            assert_eq!(got.at, *t);
-            assert_eq!(format!("{:?}", got.report), *rep);
-            assert_eq!(got.next_dt, *dt);
-        }
-        // The two pools end in identical shape.
-        assert_eq!(chain_pool.active(), seq_pool.active());
-        assert_eq!(chain_pool.queue_len(), seq_pool.queue_len());
-        assert_eq!(chain_pool.step_secs(), seq_pool.step_secs());
-        // Without a barrier the chain drains the pool completely.
-        let mut free_pool = build();
-        let from = SimTime::from_secs_f64(free_pool.step_secs().expect("busy"));
-        let chain = free_pool.advance_chain(from, None);
-        assert_eq!(chain.last().expect("nonempty").next_dt, None);
-        assert_eq!(free_pool.active(), 0);
     }
 
     #[test]
