@@ -1894,21 +1894,6 @@ mod tests {
             run(&default, 409, 3.0, 90.0).to_json(),
             run(&default, 409, 3.0, 90.0).to_json()
         );
-        // Failover flushes (pool epochs), retries and multi-replica
-        // gossip rounds composed in one run.
-        let outage = EngineConfig {
-            router_replicas: 3,
-            gossip_period_s: 5.0,
-            pool_outages: vec![PoolOutage {
-                pool: 0,
-                at_s: 10.0,
-                duration_s: 15.0,
-            }],
-            ..EngineConfig::default()
-        };
-        let first = run(&outage, 460, 25.0, 40.0);
-        assert!(first.router.failover_requeues > 0, "outage must bite");
-        assert_eq!(first.to_json(), run(&outage, 460, 25.0, 40.0).to_json());
     }
 
     /// One engine run with the look-ahead window set on top of the
@@ -1989,5 +1974,34 @@ mod tests {
         let report = engine.serve_workload(&requests, &arrivals);
         assert_eq!(report.replay.preselects, 0, "window must be off");
         assert_eq!(report.selector.max_batch, 1);
+    }
+
+    #[test]
+    fn parallel_stepping_survives_outages_and_gossip() {
+        // Failover flushes (pool epochs), retries and multi-replica
+        // gossip rounds interleave with pool steps in one run; the
+        // replay must stay bit-identical through them.
+        let arrivals = fixed_qps_arrivals(25.0, 40.0, 461);
+        let run = || {
+            let config = EngineConfig {
+                router_replicas: 3,
+                gossip_period_s: 5.0,
+                pool_outages: vec![PoolOutage {
+                    pool: 0,
+                    at_s: 10.0,
+                    duration_s: 15.0,
+                }],
+                ..EngineConfig::default()
+            };
+            let (mut engine, mut wg) = seeded_engine(500, config, 460);
+            let requests = wg.generate_requests(arrivals.len());
+            engine.serve_workload(&requests, &arrivals)
+        };
+        let first = run();
+        let second = run();
+        assert!(first.router.failover_requeues > 0, "outage must bite");
+        assert!(first.router.gossip_rounds > 0, "replicas must gossip");
+        assert_same_decisions(&first, &second);
+        assert_eq!(first.to_json(), second.to_json());
     }
 }
